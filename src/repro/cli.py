@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=None,
-        help="bench: timing repeats per engine (best run is reported)",
+        help="bench: timing repeats per engine (sweep mode reports the best "
+             "run; engine mode interleaves >= 5 pairs and reports medians)",
     )
     parser.add_argument(
         "--workers",

@@ -124,6 +124,8 @@ class Track:
         self.tube = Resource(self.env, capacity=1)
         self.health = TrackHealth()
         self._by_id = {endpoint.endpoint_id: endpoint for endpoint in self.endpoints}
+        self._travel_times: dict[tuple[int, int, str], float] = {}
+        self._hop_energies: dict[tuple[int, int], float] = {}
 
     def endpoint(self, endpoint_id: int) -> Endpoint:
         try:
@@ -141,16 +143,30 @@ class Track:
         return abs(self.endpoint(src).position_m - self.endpoint(dst).position_m)
 
     def travel_time(self, src: int, dst: int, profile: str = "paper") -> float:
-        """Rail time (no dock handling) between two endpoints."""
-        distance = self.distance(src, dst)
-        hop_params = self.params.with_(track_length=distance)
-        return motion_profile(hop_params, profile).motion_time
+        """Rail time (no dock handling) between two endpoints.
+
+        Memoised per ``(src, dst, profile)``: the motion profile is a
+        pure function of the hop's distance and the track's parameters.
+        A degraded LIM's ``lim_slowdown`` is the caller's to apply.
+        """
+        hop = (src, dst, profile)
+        travel = self._travel_times.get(hop)
+        if travel is None:
+            hop_params = self.params.with_(track_length=self.distance(src, dst))
+            travel = self._travel_times[hop] = (
+                motion_profile(hop_params, profile).motion_time
+            )
+        return travel
 
     def hop_energy(self, src: int, dst: int) -> float:
         """Launch energy for one hop (speed-dominated; distance matters
-        only when the hop is shorter than the LIM ramp)."""
-        distance = self.distance(src, dst)
-        return launch_energy(self.params.with_(track_length=distance))
+        only when the hop is shorter than the LIM ramp).  Memoised per
+        ``(src, dst)``."""
+        energy = self._hop_energies.get((src, dst))
+        if energy is None:
+            hop_params = self.params.with_(track_length=self.distance(src, dst))
+            energy = self._hop_energies[(src, dst)] = launch_energy(hop_params)
+        return energy
 
     def record_traversal(self, src: int, dst: int) -> None:
         self.traversals += 1

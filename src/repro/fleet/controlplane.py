@@ -28,10 +28,11 @@ scenarios out across processes and still merge comparable results.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -220,15 +221,32 @@ class ControlHooks:
         self.plane = plane
         self._dispatch_key = _policy_key(plane.scenario.policy)
 
+    def dispatch_key(self, lane: "_Lane") -> Callable[["_FleetJob"], tuple]:
+        """The order ``lane``'s queue dispatches in: least key first.
+
+        Returns a callable mapping a queued job to a comparable key;
+        among equal keys the job queued first wins, exactly as ``min``
+        over the arrival-ordered queue would pick.  The queue computes
+        each job's key once, keeps a heap, and rebuilds it only when
+        this hook returns a different object (an ``is`` check) — so
+        return the *same* callable for as long as the order holds.
+        Default: the scenario policy's order (fcfs/sjf/edf).
+        """
+        return self._dispatch_key
+
     def pick_dispatch(self, lane: "_Lane",
-                      pending: list["_FleetJob"]) -> "_FleetJob":
+                      pending: Collection["_FleetJob"]) -> "_FleetJob":
         """The next job a freed worker on ``lane`` should serve.
 
-        ``pending`` is non-empty; the returned job must be one of its
-        elements (the queue removes it).  Default: the scenario
-        policy's min-key order (fcfs/sjf/edf).
+        ``pending`` is a non-empty, sized view of the queued jobs in
+        arrival order; the returned job must be one of them (the queue
+        removes it by identity).  Default: the head of the lane's
+        queue under :meth:`dispatch_key`.  Override :meth:`dispatch_key`
+        to change the order; override this only for picks no key can
+        express, since a job taken from anywhere but the head costs
+        the queue a heap rebuild.
         """
-        return min(pending, key=self._dispatch_key)
+        return lane.queue.head()
 
     def pick_eviction(self, lane: "_Lane"):
         """The cache entry ``lane`` should evict next, or ``None``.
@@ -252,23 +270,50 @@ class ControlHooks:
 
 
 class _LaneQueue:
-    """Policy-ordered job queue with blocking get for lane workers."""
+    """Policy-ordered job queue with blocking get for lane workers.
+
+    ``pending`` maps an insertion sequence number to each queued job, so
+    it iterates in arrival order.  ``_heap`` holds one
+    ``(key(fjob), seq, fjob)`` entry per pending job under the key
+    ``_key`` it was built with; the sequence number breaks ties the way
+    ``min`` over the arrival-ordered jobs does, so a job is never itself
+    compared.  The heap is dropped (``_key = None``) when a job leaves
+    from anywhere but its head, and rebuilt by :meth:`head` then or
+    when the hooks' :meth:`~ControlHooks.dispatch_key` changes.
+    """
 
     def __init__(self, env: Environment, lane: "_Lane", hooks: ControlHooks):
         self.env = env
         self.lane = lane
         self.hooks = hooks
-        self.pending: list[_FleetJob] = []
+        self.pending: dict[int, _FleetJob] = {}
         self.waiters: deque[Event] = deque()
+        self._seq = itertools.count()
+        self._heap: list[tuple[tuple, int, _FleetJob]] = []
+        self._key: Callable[[_FleetJob], tuple] | None = None
 
     @property
     def depth(self) -> int:
         return len(self.pending)
 
     def push(self, fjob: _FleetJob) -> None:
-        self.pending.append(fjob)
+        seq = next(self._seq)
+        self.pending[seq] = fjob
+        if self._key is not None:
+            heapq.heappush(self._heap, (self._key(fjob), seq, fjob))
         if self.waiters:
             self.waiters.popleft().succeed(None)
+
+    def head(self) -> _FleetJob:
+        """The pending job with the least dispatch key (queue non-empty)."""
+        key = self.hooks.dispatch_key(self.lane)
+        if key is not self._key:
+            self._key = key
+            self._heap = [
+                (key(fjob), seq, fjob) for seq, fjob in self.pending.items()
+            ]
+            heapq.heapify(self._heap)
+        return self._heap[0][2]
 
     def get(self):
         """Process helper: next job under the policy (blocks when empty)."""
@@ -276,9 +321,26 @@ class _LaneQueue:
             waiter = Event(self.env)
             self.waiters.append(waiter)
             yield waiter
-        best = self.hooks.pick_dispatch(self.lane, self.pending)
-        self.pending.remove(best)
+        best = self.hooks.pick_dispatch(self.lane, self.pending.values())
+        heap = self._heap
+        if heap and heap[0][2] is best:
+            del self.pending[heapq.heappop(heap)[1]]
+        else:
+            self._remove(best)
         return best
+
+    def _remove(self, fjob: _FleetJob) -> None:
+        for seq, queued in self.pending.items():
+            if queued is fjob:
+                del self.pending[seq]
+                break
+        else:
+            raise ConfigurationError(
+                f"pick_dispatch returned job {fjob.job.job_id}, which is "
+                f"not queued on lane {self.lane.name}"
+            )
+        self._key = None
+        self._heap = []
 
 
 class _Lane:
@@ -414,6 +476,7 @@ class ControlPlane:
         self._max_completed_s = 0.0
         self._tenants_seen = False
         self._evictions_in_flight = 0
+        self._rejections = None
         self.failover_energy_j = 0.0
         # Degradation machinery: one health monitor + breaker per lane,
         # fed by the track's fault-to-repair windows and serve outcomes.
@@ -484,7 +547,13 @@ class ControlPlane:
                 dataset=fjob.dataset,
             )
         if lane.queue.depth >= admission.max_queue_depth:
-            self.registry.counter("count.fleet.admission_rejections").inc()
+            # Bound on first use: an early counter would add a zero-valued
+            # metric to the snapshots of runs that never reject.
+            if self._rejections is None:
+                self._rejections = self.registry.counter(
+                    "count.fleet.admission_rejections"
+                )
+            self._rejections.inc()
             choice = self.hooks.pick_overflow(
                 fjob, lane, self._failover_streams is not None
             )

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core.percentiles import percentiles
 from ..errors import ConfigurationError
-from ..obs import MetricsRegistry
+from ..obs import Counter, Histogram, MetricsRegistry
 from ..units import assert_positive
 
 try:
@@ -212,15 +212,18 @@ class _StreamStats:
         self.good_bytes = 0.0
         self.reservoir = LatencyReservoir(sample_cap, seed)
 
-    def observe(self, record: JobRecord) -> None:
+    def observe(self, latency_s: float | None, met_deadline: bool,
+                read_bytes: float) -> None:
+        """Count one record, given its latency (``None`` if it never
+        completed) and whether it met its deadline."""
         self.n_jobs += 1
-        if record.completed_s is not None:
+        if latency_s is not None:
             self.n_completed += 1
-            self.reservoir.observe(record.latency_s)
-        if not record.met_deadline:
-            self.misses += 1
+            self.reservoir.observe(latency_s)
+        if met_deadline:
+            self.good_bytes += read_bytes
         else:
-            self.good_bytes += record.read_bytes
+            self.misses += 1
 
     def summarise(self, kind: str, horizon_s: float) -> ClassSla:
         if self.reservoir.samples:
@@ -274,6 +277,9 @@ class SlaTracker:
         self._by_tenant: dict[str, _StreamStats] = {}
         self._overall = _StreamStats(sample_cap, _stream_seed("overall"))
         self._window = _StreamStats(sample_cap, _stream_seed("window"))
+        self._outcome_counters: dict[str, Counter] = {}
+        self._latency_histograms: dict[str, Histogram] = {}
+        self._deadline_missed: Counter | None = None
 
     def target_for(self, kind: str) -> ClassTarget:
         return self.targets.get(kind, self.default)
@@ -288,18 +294,43 @@ class SlaTracker:
     def observe(self, record: JobRecord) -> None:
         if self.retain_records:
             self.records.append(record)
-        self.registry.counter(f"count.fleet.{record.outcome}").inc()
-        if record.completed_s is not None:
-            self.registry.histogram(
-                f"fleet.latency_s.{record.kind}", LATENCY_BUCKETS
-            ).observe(record.latency_s)
-        if not record.met_deadline:
-            self.registry.counter("count.fleet.deadline_missed").inc()
-        self._overall.observe(record)
-        self._window.observe(record)
-        self._stats(self._by_kind, record.kind).observe(record)
+        # Latency and deadline are derived once and fed to every
+        # accumulator.  Metric handles are bound on first use, never
+        # ahead of it: an early handle would add a zero-valued metric
+        # to the registry's snapshots.
+        completed_s = record.completed_s
+        latency_s = None if completed_s is None else completed_s - record.arrival_s
+        met = record.met_deadline
+        outcome = self._outcome_counters.get(record.outcome)
+        if outcome is None:
+            outcome = self._outcome_counters[record.outcome] = (
+                self.registry.counter(f"count.fleet.{record.outcome}")
+            )
+        outcome.inc()
+        kind = record.kind
+        if latency_s is not None:
+            histogram = self._latency_histograms.get(kind)
+            if histogram is None:
+                histogram = self._latency_histograms[kind] = (
+                    self.registry.histogram(
+                        f"fleet.latency_s.{kind}", LATENCY_BUCKETS
+                    )
+                )
+            histogram.observe(latency_s)
+        if not met:
+            if self._deadline_missed is None:
+                self._deadline_missed = self.registry.counter(
+                    "count.fleet.deadline_missed"
+                )
+            self._deadline_missed.inc()
+        read_bytes = record.read_bytes
+        self._overall.observe(latency_s, met, read_bytes)
+        self._window.observe(latency_s, met, read_bytes)
+        self._stats(self._by_kind, kind).observe(latency_s, met, read_bytes)
         if record.tenant:
-            self._stats(self._by_tenant, record.tenant).observe(record)
+            self._stats(self._by_tenant, record.tenant).observe(
+                latency_s, met, read_bytes
+            )
 
     # -- mid-run snapshots -------------------------------------------------------
     #

@@ -150,8 +150,13 @@ class AdaptiveHooks(ControlHooks):
     def set_action(self, action: Action) -> None:
         self.action = action
 
-    def pick_dispatch(self, lane, pending):
-        return min(pending, key=self._keys[self.action.dispatch])
+    def dispatch_key(self, lane):
+        """The installed action's dispatch order.
+
+        One stable key callable per order, so the lane queues rebuild
+        their heaps only when an epoch switches the dispatch order.
+        """
+        return self._keys[self.action.dispatch]
 
     def pick_eviction(self, lane):
         return select_victim(
@@ -433,7 +438,7 @@ class FleetEnv:
         waits = [
             min((now - fjob.job.arrival_s) / self.config.p99_scale, 1.0)
             for lane in self.plane.lanes.values()
-            for fjob in lane.queue.pending
+            for fjob in lane.queue.pending.values()
         ]
         return sum(waits) / len(waits) if waits else 0.0
 
@@ -482,7 +487,7 @@ class FleetEnv:
                 else 0.0
             )
         pending = [
-            fjob for lane in lanes for fjob in lane.queue.pending
+            fjob for lane in lanes for fjob in lane.queue.pending.values()
         ]
         if pending:
             slacks = [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.params import DhlParams
-from repro.core.physics import launch_energy, motion_profile
+from repro.core.physics import launch_energy, motion_profile, trip_time
 from repro.dhlsim.track import (
     Endpoint,
     Track,
@@ -11,6 +11,7 @@ from repro.dhlsim.track import (
     default_endpoints,
     pick_track,
 )
+from repro.dhlsim.scheduler import DhlSystem
 from repro.errors import SchedulingError
 from repro.sim import Environment
 
@@ -126,3 +127,49 @@ class TestBuildAndPick:
     def test_pick_empty_rejected(self):
         with pytest.raises(SchedulingError):
             pick_track([], 0, 1)
+
+
+class TestHopMemo:
+    """Memoised hop physics equals the uncached physics, bit for bit."""
+
+    @pytest.mark.parametrize("params,n_racks", [
+        (DhlParams(), 1),
+        (DhlParams(dual_rail=True), 1),
+        (DhlParams(), 3),
+        (DhlParams(dual_rail=True), 4),
+    ])
+    def test_cached_hops_equal_uncached_physics(self, env, params, n_racks):
+        for track in build_tracks(env, params, n_racks):
+            ids = [endpoint.endpoint_id for endpoint in track.endpoints]
+            pairs = [(src, dst) for src in ids for dst in ids if src != dst]
+            for _ in range(2):  # the first pass fills the memo, the second hits it
+                for src, dst in pairs:
+                    hop = params.with_(track_length=track.distance(src, dst))
+                    for profile in ("paper", "exact"):
+                        assert track.travel_time(src, dst, profile).hex() == (
+                            motion_profile(hop, profile).motion_time.hex()
+                        )
+                    assert track.hop_energy(src, dst).hex() == (
+                        launch_energy(hop).hex()
+                    )
+            assert len(track._travel_times) == 2 * len(pairs)
+            assert len(track._hop_energies) == len(pairs)
+
+    def test_memo_keeps_rejecting_bad_hops(self, env):
+        track = Track(env, DhlParams(), default_endpoints(DhlParams()))
+        track.travel_time(0, 1)
+        with pytest.raises(SchedulingError):
+            track.travel_time(1, 1)
+        with pytest.raises(SchedulingError):
+            track.hop_energy(0, 7)
+
+    def test_degraded_lim_still_stretches_a_memoised_transit(self, env):
+        system = DhlSystem(env)
+        track = system.tracks[0]
+        travel = track.travel_time(0, 1)
+        assert (0, 1, "paper") in track._travel_times
+        track.health.degrade_lim(2.0)
+        cart = system.make_cart()
+        system.library.admit(cart)
+        env.run(until=system.shuttle(system.library.checkout(cart.cart_id), dst=1))
+        assert env.now == pytest.approx(trip_time(DhlParams()) + travel)

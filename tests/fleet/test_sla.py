@@ -84,6 +84,28 @@ class TestSlaTrackerMetrics:
         assert "fleet.latency_s.interactive" in snapshot
         assert "fleet.latency_s.batch" in snapshot
 
+    def test_metrics_appear_on_first_use_in_first_use_order(self):
+        # Handles are cached, but bound lazily: a metric appears only
+        # once something counts into it, in the order of first use, so
+        # snapshots match a registry looked up afresh on every record.
+        registry, tracker = make_tracker()
+        tracker.observe(served(0, "interactive", 0.0, 30.0))
+        assert list(registry._metrics) == [
+            "count.fleet.served", "fleet.latency_s.interactive",
+        ]
+        shed = JobRecord(job_id=1, kind="batch", dataset="ds-000",
+                         arrival_s=0.0, deadline_s=60.0, read_bytes=1e12,
+                         outcome=SHED)
+        tracker.observe(shed)
+        tracker.observe(served(2, "batch", 0.0, 500.0))
+        assert list(registry._metrics) == [
+            "count.fleet.served", "fleet.latency_s.interactive",
+            "count.fleet.shed", "count.fleet.deadline_missed",
+            "fleet.latency_s.batch",
+        ]
+        assert registry.value("count.fleet.deadline_missed") == 2
+        assert registry.value("count.fleet.served") == 2
+
 
 class TestSlaReport:
     def test_percentiles_match_numpy(self):

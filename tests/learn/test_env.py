@@ -237,3 +237,47 @@ class TestHookEquivalence:
         assert stepped.p99_s == straight.p99_s
         assert stepped.launches == straight.launches
         assert stepped.launch_energy_j == straight.launch_energy_j
+
+
+class TestPendingOrder:
+    """The queue views the env sums over iterate in submission order.
+
+    ``_backlog_age`` and ``_observe`` sum floats over every lane's
+    pending jobs; float addition is order-sensitive, so the committed
+    ``BENCH_learn.json`` rewards stay byte-identical only while that
+    iteration stays in submission order — whatever order the lane
+    queues dispatch in, and across dispatch switches that rebuild them.
+    """
+
+    def test_pending_iterates_in_submission_order_across_switches(self):
+        env = FleetEnv(small_config(), seed=1)
+        env.reset()
+        submitted = []
+        submit = env.plane.submit
+
+        def recording_submit(fjob):
+            submitted.append(fjob)
+            submit(fjob)
+
+        env.plane.submit = recording_submit
+        dispatch_cycle = [action_index(Action(policy, "lru", "failover"))
+                          for policy in ("sjf", "edf", "fcfs")]
+        deepest = 0
+        done = False
+        while not done:
+            _, _, done, _ = env.step(dispatch_cycle[env.epoch % 3])
+            queued = []
+            for lane in env.plane.lanes.values():
+                pending = list(lane.queue.pending.values())
+                members = {id(fjob) for fjob in pending}
+                expected = [f for f in submitted if id(f) in members]
+                assert len(expected) == len(pending)
+                assert all(a is b for a, b in zip(pending, expected))
+                queued.extend(pending)
+                deepest = max(deepest, len(pending))
+            now = env.sim.now
+            scale = env.config.p99_scale
+            waits = [min((now - f.job.arrival_s) / scale, 1.0) for f in queued]
+            expected_age = sum(waits) / len(waits) if waits else 0.0
+            assert env._backlog_age() == expected_age
+        assert deepest >= 3, "the queues never held enough jobs to reorder"
