@@ -13,11 +13,12 @@ from pathlib import Path
 from repro.sim.bench import (
     GATE_FLOOR,
     GATE_WORKLOAD,
+    MIN_TRIALS,
     OPTIMISED,
     REFERENCE,
     SCHEMA,
     WORKLOADS,
-    _best_of,
+    _paired_medians,
     compare_to_baseline,
     load_baseline,
     report_payload,
@@ -32,10 +33,12 @@ def test_microbench_gate(benchmark):
     fn, n = WORKLOADS[GATE_WORKLOAD]
 
     benchmark(lambda: fn(OPTIMISED, n))
-    # The gate ratio is timed explicitly (best of 3, gc paused) so it
+    # The gate ratio is timed explicitly, exactly as run_engine_bench
+    # times it (warm-up, interleaved pairs, medians, gc paused), so it
     # also holds under --benchmark-disable runs of the harness.
-    events, optimised_s = _best_of(lambda: fn(OPTIMISED, n), 3)
-    reference_events, reference_s = _best_of(lambda: fn(REFERENCE, n), 3)
+    events, optimised_s, reference_events, reference_s = _paired_medians(
+        lambda: fn(OPTIMISED, n), lambda: fn(REFERENCE, n), MIN_TRIALS
+    )
 
     assert events == reference_events, "engines disagree on event counts"
     speedup = reference_s / optimised_s
