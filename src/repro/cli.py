@@ -384,11 +384,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         out_path = args.bench_out or "BENCH_engine.json"
         path = engine_bench.write_report(report, out_path)
         print(f"\nwrote engine perf baseline to {path}")
+        gate_line = (
+            f"{engine_bench.GATE_WORKLOAD} speedup "
+            f"{report.gate_speedup:.2f}x (IQR {report.gate_speedup_iqr:.2f}x "
+            f"over {report.repeats} pairs), "
+            f"gate {engine_bench.GATE_FLOOR:.1f}x"
+        )
         if not report.gate_passed:
-            print(f"FAIL: {engine_bench.GATE_WORKLOAD} speedup "
-                  f"{report.gate_speedup:.2f}x is below the "
-                  f"{engine_bench.GATE_FLOOR:.1f}x gate")
+            print(f"FAIL: {gate_line}")
             return 1
+        print(f"gate: {gate_line}")
         if args.check:
             problems = engine_bench.compare_to_baseline(
                 engine_bench.report_payload(report),

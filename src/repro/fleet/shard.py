@@ -18,16 +18,32 @@ barrier never schedules into a pod's past.  This is the classic
 conservative (CMB-style) synchronisation scheme with the lookahead
 fixed at the physical inter-pod latency.
 
+**Forwarding in the parent, chunks on the pipe.**  Nothing a pod does
+changes what another pod receives: a job's ingress pod
+(``job_id % n_pods``), its owner (the pod homing its dataset) and its
+delivery time (``arrival_s + W``) are all fixed by the trace, and an
+outcome note only increments a counter.  So the parent routes every
+arrival itself — straight to the owner's window when ingress and owner
+agree, otherwise as a forwarded job due one window later — and the
+owner counts both the forwarded job and its remote outcome.  Each pod
+still replays the epoch windows one by one, with the same injections
+in the same order, but the parent ships many windows per pipe message
+(:data:`CHUNK_JOBS`) and keeps one chunk in flight ahead of the
+workers.  Only the tail, after the last arrival, runs one window per
+round trip: its stop rule waits for notes still in flight, which only
+the pods know about.
+
 **Determinism contract.**  For a fixed :class:`ShardPlan`, the epoch
-schedule, message set and canonical per-barrier injection order are
-computed by the parent alone, so the serial executor and the process
-executor (at *any* worker count) produce byte-identical
-:class:`~repro.fleet.controlplane.FleetReport` signatures — the same
-idiom as the existing serial==process sweep gates.  Changing
-``n_pods`` changes the *model* (split cart pools, forwarding latency),
-exactly like changing ``n_tracks`` would; ``n_pods == 1`` delegates to
-the monolithic :func:`~repro.fleet.controlplane.run_fleet` and matches
-it bit for bit.
+schedule, message set and canonical per-window injection order are
+computed by the parent alone, and both executors replay them through
+the same :meth:`_PodRunner.run_windows`, so the serial executor and the
+process executor (at *any* worker count, for any chunk size) produce
+byte-identical :class:`~repro.fleet.controlplane.FleetReport`
+signatures — the same idiom as the existing serial==process sweep
+gates.  Changing ``n_pods`` changes the *model* (split cart pools,
+forwarding latency), exactly like changing ``n_tracks`` would;
+``n_pods == 1`` delegates to the monolithic
+:func:`~repro.fleet.controlplane.run_fleet` and matches it bit for bit.
 
 See ``docs/scaling.md`` for the partitioning rules, the window maths,
 the metric-merge semantics and a copy-pasteable N-core recipe.
@@ -41,6 +57,7 @@ import multiprocessing
 import os
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -75,21 +92,29 @@ DEFAULT_INTERPOD_LATENCY_S = 5.0
 #: Epoch executors ``run_sharded`` accepts.
 SHARD_ENGINES = ("serial", "process")
 
-#: Counter name for jobs whose ingress pod did not own their dataset.
+#: Counter name for jobs whose ingress pod did not own their dataset
+#: (counted by the owner pod when the forwarded job is injected).
 FORWARDED_COUNTER = "count.fleet.shard.forwarded"
 
-#: Counter-name prefix for outcome notes delivered back to ingress pods.
+#: Counter-name prefix for outcome notes owed back to ingress pods
+#: (counted by the owner pod when the forwarded job resolves).
 REMOTE_OUTCOME_PREFIX = "count.fleet.shard.remote_outcome."
 
-# A cross-pod message is a plain picklable tuple
-#     (deliver_s, rank, job_id, dest_pod, payload)
-# with rank 0 for forwarded jobs (payload: _FleetJob) and rank 1 for
-# outcome notes (payload: outcome string).  Sorting messages by tuple
-# order IS the canonical injection order: deliver-time first, jobs
-# before notes, then job id — payloads are never compared because
-# (rank, job_id) is unique.
-_JOB_RANK = 0
-_NOTE_RANK = 1
+#: Bound jobs per pipe message.  The parent packs consecutive epoch
+#: windows into one chunk and closes it at the first window end once it
+#: holds this many arrivals — or this many windows, which bounds the
+#: size of a reply.  At 1 every window is its own round trip, the old
+#: lockstep; the chunk size never changes what a pod simulates.
+CHUNK_JOBS = 1024
+
+# A forwarded job is a plain picklable tuple
+#     (deliver_s, job_id, owner_pod, fjob)
+# Sorting them by tuple order IS the canonical injection order:
+# deliver-time first, then job id — fjobs are never compared because
+# job ids are unique.  A window is ``(epoch_end, work)`` with ``work``
+# mapping a pod to its ``(messages, arrivals)``: ``(deliver_s, fjob)``
+# forwarded jobs, then jobs the pod both ingests and owns.
+_IDLE: tuple[tuple, tuple] = ((), ())
 
 _TRACK_TARGET = re.compile(r"^t(\d+)")
 
@@ -256,7 +281,6 @@ class _PodState:
     report: FleetReport
     sla_state: SlaState
     metrics: dict[str, dict[str, Any]]
-    leftover_notes: tuple[tuple, ...]
 
 
 class _HomesView:
@@ -320,7 +344,6 @@ class _PodRunner:
         self.track_offset = plan.track_ranges[pod_index][0]
         self.window_s = plan.window_s
         self.n_pods = plan.n_pods
-        self.owners = plan.dataset_owners()
         scenario = plan.pod_scenario(pod_index)
         self.env = Environment()
         topology = FleetTopology(
@@ -333,51 +356,42 @@ class _PodRunner:
                 install_campaign(self.env, topology.systems, scenario.chaos)
             )
         self.plane.start_workers()
-        self.outbox: list[tuple] = []
+        self.note_s: float | None = None
         self.plane.outcome_hook = self._on_outcome
 
     def _on_outcome(self, record: JobRecord) -> None:
         # Jobs whose ingress pod differs from ours were forwarded here;
-        # the resolution travels back as a note, one boundary hop later.
-        ingress = record.job_id % self.n_pods
-        if ingress != self.pod_index:
-            self.outbox.append((
-                self.env.now + self.window_s,
-                _NOTE_RANK,
-                record.job_id,
-                ingress,
-                str(record.outcome),
-            ))
+        # the resolution owes the ingress pod a note one boundary hop
+        # later.  A note only bumps a counter, so count it here and
+        # remember when it would land: the parent's stop rule waits
+        # for it.
+        if record.job_id % self.n_pods != self.pod_index:
+            self.plane.registry.counter(
+                REMOTE_OUTCOME_PREFIX + str(record.outcome)
+            ).inc()
+            self.note_s = self.env.now + self.window_s
 
-    def deliver(self, messages: Iterable[tuple],
-                arrivals: Iterable[_FleetJob]) -> None:
-        """Apply one barrier's messages and local arrivals, in canonical order."""
-        for deliver_s, rank, job_id, _dest, payload in messages:
-            if rank == _JOB_RANK:
-                self.plane.inject(payload, deliver_s)
-            else:
-                self.plane.registry.counter(
-                    REMOTE_OUTCOME_PREFIX + payload
-                ).inc()
-        for fjob in arrivals:
-            owner = self.owners[fjob.dataset]
-            if owner == self.pod_index:
-                self.plane.inject(fjob, fjob.job.arrival_s)
-            else:
+    def run_windows(
+        self, windows: Iterable[tuple[float, Iterable, Iterable]]
+    ) -> list[float | None]:
+        """Replay ``(epoch_end, messages, arrivals)`` windows in order.
+
+        Each window injects its forwarded jobs, then its local
+        arrivals, then runs the pod to ``epoch_end``.  Returns, per
+        window, the delivery time of the last outcome note it produced
+        (``None`` if it produced none).
+        """
+        notes: list[float | None] = []
+        for epoch_end, messages, arrivals in windows:
+            for deliver_s, fjob in messages:
                 self.plane.registry.counter(FORWARDED_COUNTER).inc()
-                self.outbox.append((
-                    fjob.job.arrival_s + self.window_s,
-                    _JOB_RANK,
-                    fjob.job.job_id,
-                    owner,
-                    fjob,
-                ))
-
-    def run_epoch(self, epoch_end: float) -> list[tuple]:
-        """Advance the pod to ``epoch_end`` and drain its outbox."""
-        self.env.run(until=epoch_end)
-        out, self.outbox = self.outbox, []
-        return out
+                self.plane.inject(fjob, deliver_s)
+            for fjob in arrivals:
+                self.plane.inject(fjob, fjob.job.arrival_s)
+            self.note_s = None
+            self.env.run(until=epoch_end)
+            notes.append(self.note_s)
+        return notes
 
     def finish(self) -> _PodState:
         """Close intake, drain to quiescence and export the pod's state."""
@@ -389,26 +403,46 @@ class _PodRunner:
             report=self.plane._build_report(),
             sla_state=self.plane.sla.export_state(),
             metrics=self.plane.registry.snapshot(),
-            leftover_notes=tuple(self.outbox),
         )
 
 
+def _latest_notes(
+    per_pod: Iterable[list[float | None]],
+) -> list[float | None]:
+    """Per window, the latest note delivery time over pods (None: no note)."""
+    return [
+        max((note_s for note_s in notes if note_s is not None), default=None)
+        for notes in zip(*per_pod)
+    ]
+
+
+def _run_pods(
+    runners: Mapping[int, _PodRunner], windows: list[tuple[float, dict]]
+) -> list[float | None]:
+    """Run each of ``runners`` through its share of ``windows``."""
+    return _latest_notes(
+        runner.run_windows(
+            [(epoch_end, *work.get(pod, _IDLE)) for epoch_end, work in windows]
+        )
+        for pod, runner in runners.items()
+    )
+
+
 class _SerialExecutor:
-    """Runs every pod in-process, one after another, per epoch."""
+    """Runs every pod in-process, one after another, per chunk."""
 
     def __init__(self, plan: ShardPlan):
-        self.runners = [_PodRunner(plan, pod) for pod in range(plan.n_pods)]
+        self.runners = {pod: _PodRunner(plan, pod) for pod in range(plan.n_pods)}
+        self.replies: deque[list[float | None]] = deque()
 
-    def step(self, epoch_end: float, work: dict) -> list[tuple]:
-        outbox: list[tuple] = []
-        for pod, runner in enumerate(self.runners):
-            messages, arrivals = work.get(pod, ((), ()))
-            runner.deliver(messages, arrivals)
-            outbox.extend(runner.run_epoch(epoch_end))
-        return outbox
+    def submit(self, windows: list[tuple[float, dict]]) -> None:
+        self.replies.append(_run_pods(self.runners, windows))
+
+    def collect(self) -> list[float | None]:
+        return self.replies.popleft()
 
     def finish(self) -> list[_PodState]:
-        return [runner.finish() for runner in self.runners]
+        return [runner.finish() for runner in self.runners.values()]
 
     def close(self) -> None:
         pass
@@ -419,21 +453,15 @@ def _shard_worker(plan: ShardPlan, pod_indices: list[int], conn) -> None:
 
     Pod environments hold live generators and are unpicklable, so the
     worker is persistent: it builds its pods once and then answers
-    ``step``/``finish`` commands over the pipe until told to stop.
+    ``run``/``finish`` commands over the pipe until told to stop.  A
+    failure is sent back as an ``error`` reply before the pipe closes.
     """
     try:
         runners = {pod: _PodRunner(plan, pod) for pod in pod_indices}
         while True:
             command = conn.recv()
-            if command[0] == "step":
-                _tag, epoch_end, work = command
-                outbox: list[tuple] = []
-                for pod in pod_indices:
-                    messages, arrivals = work.get(pod, ((), ()))
-                    runner = runners[pod]
-                    runner.deliver(messages, arrivals)
-                    outbox.extend(runner.run_epoch(epoch_end))
-                conn.send(("ok", outbox))
+            if command[0] == "run":
+                conn.send(("ok", _run_pods(runners, command[1])))
             elif command[0] == "finish":
                 conn.send(
                     ("ok", [runners[pod].finish() for pod in pod_indices])
@@ -455,8 +483,10 @@ class _ProcessExecutor:
     """Persistent spawn-context workers, each owning ``pod % workers`` pods.
 
     The pod→worker assignment only decides *where* a pod runs, never
-    what it sees: barriers are global and injection order canonical, so
-    any worker count yields byte-identical results.
+    what it sees: windows are global and injection order canonical, so
+    any worker count yields byte-identical results.  The parent may
+    :meth:`submit` a second chunk before it collects the first; the
+    pipe's back-pressure then holds it at most one chunk ahead.
     """
 
     def __init__(self, plan: ShardPlan, workers: int):
@@ -481,26 +511,37 @@ class _ProcessExecutor:
 
     @staticmethod
     def _receive(conn) -> Any:
-        status, payload = conn.recv()
+        try:
+            status, payload = conn.recv()
+        except EOFError:
+            raise SimulationError("shard worker exited without a reply") from None
         if status != "ok":
             raise SimulationError(f"shard worker failed: {payload}")
         return payload
 
-    def step(self, epoch_end: float, work: dict) -> list[tuple]:
+    @staticmethod
+    def _send(conn, command: tuple) -> None:
+        try:
+            conn.send(command)
+        except OSError:
+            # The worker hung up: it failed on an earlier chunk, and
+            # its last reply says why.
+            while True:
+                _ProcessExecutor._receive(conn)
+
+    def submit(self, windows: list[tuple[float, dict]]) -> None:
         for pods, conn in zip(self.assignments, self.conns):
-            conn.send((
-                "step",
-                epoch_end,
-                {pod: work[pod] for pod in pods if pod in work},
-            ))
-        outbox: list[tuple] = []
-        for conn in self.conns:
-            outbox.extend(self._receive(conn))
-        return outbox
+            self._send(conn, ("run", [
+                (epoch_end, {pod: work[pod] for pod in pods if pod in work})
+                for epoch_end, work in windows
+            ]))
+
+    def collect(self) -> list[float | None]:
+        return _latest_notes([self._receive(conn) for conn in self.conns])
 
     def finish(self) -> list[_PodState]:
         for conn in self.conns:
-            conn.send(("finish",))
+            self._send(conn, ("finish",))
         states: list[_PodState] = []
         for conn in self.conns:
             states.extend(self._receive(conn))
@@ -510,7 +551,7 @@ class _ProcessExecutor:
         for conn in self.conns:
             try:
                 conn.send(("stop",))
-            except (BrokenPipeError, OSError):  # pragma: no cover
+            except OSError:
                 pass
         for conn in self.conns:
             conn.close()
@@ -518,6 +559,96 @@ class _ProcessExecutor:
             proc.join(timeout=30)
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
+                proc.join()
+
+
+class _EpochLoop:
+    """The parent's half of the epoch loop: it builds every pod's windows.
+
+    Routes each pulled arrival to the pod that simulates it — its
+    ingress pod when that pod owns the dataset, else the owner, one
+    window ``W`` later — and tracks what the one-round-trip-per-epoch
+    loop kept pending: forwarded jobs not yet delivered and outcome
+    notes not yet landed.
+    """
+
+    def __init__(self, plan: ShardPlan, pump: _Pump,
+                 executor: _SerialExecutor | _ProcessExecutor):
+        self.pump = pump
+        self.executor = executor
+        self.n_pods = plan.n_pods
+        self.window_s = plan.window_s
+        self.owners = plan.dataset_owners()
+        self.forwards: list[tuple] = []
+        self.notes: list[float] = []
+        self.unsettled: deque[list[float]] = deque()
+        self.epochs = 0
+
+    def run(self) -> int:
+        """Drive every window through the executor; returns the epoch count."""
+        # While arrivals remain the loop cannot stop, so the parent
+        # ships whole chunks and keeps one in flight ahead of the pods.
+        chunk: list[tuple[float, dict]] = []
+        chunk_jobs = 0
+        while not self.pump.exhausted:
+            window, n_jobs = self._next_window()
+            chunk.append(window)
+            chunk_jobs += n_jobs
+            if (self.pump.exhausted or chunk_jobs >= CHUNK_JOBS
+                    or len(chunk) >= CHUNK_JOBS):
+                self._send(chunk)
+                chunk, chunk_jobs = [], 0
+                if len(self.unsettled) > 1:
+                    self._settle()
+        while self.unsettled:
+            self._settle()
+        # The run stops once nothing is in flight, and only the pods
+        # know their notes: one window per round trip from here.
+        while self.forwards or self.notes:
+            window, _n_jobs = self._next_window()
+            self._send([window])
+            self._settle()
+        return self.epochs
+
+    def _next_window(self) -> tuple[tuple[float, dict], int]:
+        """The next epoch window and the number of arrivals it pulled."""
+        self.epochs += 1
+        epoch_end = self.epochs * self.window_s
+        arrivals = self.pump.pull(epoch_end)
+        due = sorted(fwd for fwd in self.forwards if fwd[0] <= epoch_end)
+        self.forwards = [fwd for fwd in self.forwards if fwd[0] > epoch_end]
+        work: dict[int, tuple[list, list]] = {}
+        for deliver_s, _job_id, owner, fjob in due:
+            work.setdefault(owner, ([], []))[0].append((deliver_s, fjob))
+        for fjob in arrivals:
+            ingress = fjob.job.job_id % self.n_pods
+            owner = self.owners[fjob.dataset]
+            if owner == ingress:
+                work.setdefault(owner, ([], []))[1].append(fjob)
+            else:
+                self.forwards.append((
+                    fjob.job.arrival_s + self.window_s,
+                    fjob.job.job_id,
+                    owner,
+                    fjob,
+                ))
+        return (epoch_end, work), len(arrivals)
+
+    def _send(self, windows: list[tuple[float, dict]]) -> None:
+        self.executor.submit(windows)
+        self.unsettled.append([epoch_end for epoch_end, _work in windows])
+
+    def _settle(self) -> None:
+        """Fold in the pods' reply to the oldest chunk still unread.
+
+        Each window delivers the notes due by its end, then adds the
+        ones it produced: the pending set the lockstep loop checked.
+        """
+        replies = self.executor.collect()
+        for epoch_end, note_s in zip(self.unsettled.popleft(), replies):
+            self.notes = [due_s for due_s in self.notes if due_s > epoch_end]
+            if note_s is not None:
+                self.notes.append(note_s)
 
 
 @dataclass(frozen=True)
@@ -631,14 +762,6 @@ def _merge_states(
     sla_state = merge_sla_states([state.sla_state for state in states])
     horizon_s = plan.scenario.horizon_s
     metrics = merge_snapshots_additive([state.metrics for state in states])
-    # Notes still in flight when the pods drained are counter-only;
-    # apply them to the merged snapshot so forwarded == remote notes.
-    for state in states:
-        for _deliver_s, _rank, _job_id, _dest, outcome in state.leftover_notes:
-            name = REMOTE_OUTCOME_PREFIX + outcome
-            entry = metrics.setdefault(name, {"type": "counter", "value": 0.0})
-            entry["value"] += 1.0
-    metrics = {name: metrics[name] for name in sorted(metrics)}
     lane_health: list[dict] = []
     chaos_entries: list[tuple[float, str, str, str]] = []
     for state in states:
@@ -766,25 +889,8 @@ def run_sharded(
     else:
         workers = 1
         executor = _SerialExecutor(plan)
-    window = plan.window_s
-    pending: list[tuple] = []
-    epochs = 0
     try:
-        while not (pump.exhausted and not pending):
-            epoch_end = (epochs + 1) * window
-            arrivals = pump.pull(epoch_end)
-            deliverable = sorted(
-                message for message in pending if message[0] <= epoch_end
-            )
-            pending = [message for message in pending if message[0] > epoch_end]
-            work: dict[int, tuple[list, list]] = {}
-            for message in deliverable:
-                work.setdefault(message[3], ([], []))[0].append(message)
-            for fjob in arrivals:
-                ingress = fjob.job.job_id % plan.n_pods
-                work.setdefault(ingress, ([], []))[1].append(fjob)
-            pending.extend(executor.step(epoch_end, work))
-            epochs += 1
+        epochs = _EpochLoop(plan, pump, executor).run()
         states = executor.finish()
     finally:
         executor.close()

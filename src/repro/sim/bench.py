@@ -282,6 +282,8 @@ class WorkloadResult:
     optimised_s: float
     reference_s: float
     events_identical: bool
+    speedup_iqr: float
+    """Interquartile range of the per-pair reference/optimised ratios."""
 
     @property
     def optimised_events_per_sec(self) -> float:
@@ -317,6 +319,10 @@ class EngineBenchReport:
         return self.result(GATE_WORKLOAD).speedup
 
     @property
+    def gate_speedup_iqr(self) -> float:
+        return self.result(GATE_WORKLOAD).speedup_iqr
+
+    @property
     def gate_passed(self) -> bool:
         return self.gate_speedup >= GATE_FLOOR
 
@@ -325,16 +331,39 @@ class EngineBenchReport:
         return all(entry.events_identical for entry in self.results)
 
 
+@dataclass(frozen=True)
+class PairedTiming:
+    """Interleaved timings of two engines: event counts, medians, spread."""
+
+    optimised_events: int
+    optimised_s: float
+    reference_events: int
+    reference_s: float
+    ratios: tuple[float, ...]
+    """Per-pair reference/optimised time ratios, in pair order."""
+
+    @property
+    def ratio_iqr(self) -> float:
+        """Interquartile range of :attr:`ratios` (0.0 below two pairs)."""
+        if len(self.ratios) < 2:
+            return 0.0
+        q1, _median, q3 = statistics.quantiles(
+            self.ratios, n=4, method="inclusive"
+        )
+        return q3 - q1
+
+
 def _paired_medians(
     optimised: Callable[[], int], reference: Callable[[], int], trials: int
-) -> tuple[int, float, int, float]:
-    """(optimised events, median s, reference events, median s), gc paused.
+) -> PairedTiming:
+    """Event counts, per-engine median seconds and pair ratios, gc paused.
 
     One untimed warm-up run of each engine comes first, so neither side
     pays for cold caches or first-call allocation.  The ``trials`` timed
     pairs then interleave the engines, alternating which runs first, so
     a change in host load lands on both sides of the ratio; the median
-    of each side discards the odd preempted run either way.
+    of each side discards the odd preempted run either way, and the
+    spread of the per-pair ratios shows how noisy the host was.
     """
     timings: tuple[list[float], list[float]] = ([], [])
     events = [0, 0]
@@ -353,9 +382,12 @@ def _paired_medians(
     finally:
         if gc_was_enabled:
             gc.enable()
-    return (
-        events[0], statistics.median(timings[0]),
-        events[1], statistics.median(timings[1]),
+    return PairedTiming(
+        optimised_events=events[0],
+        optimised_s=statistics.median(timings[0]),
+        reference_events=events[1],
+        reference_s=statistics.median(timings[1]),
+        ratios=tuple(ref / opt for opt, ref in zip(*timings)),
     )
 
 
@@ -445,16 +477,17 @@ def run_engine_bench(
     results: list[WorkloadResult] = []
     for name, (fn, base_n) in WORKLOADS.items():
         n = max(1, int(base_n * scale))
-        opt_events, opt_s, ref_events, ref_s = _paired_medians(
+        timing = _paired_medians(
             lambda: fn(OPTIMISED, n), lambda: fn(REFERENCE, n), trials
         )
         results.append(WorkloadResult(
             name=name,
             iterations=n,
-            events=opt_events,
-            optimised_s=opt_s,
-            reference_s=ref_s,
-            events_identical=opt_events == ref_events,
+            events=timing.optimised_events,
+            optimised_s=timing.optimised_s,
+            reference_s=timing.reference_s,
+            events_identical=timing.optimised_events == timing.reference_events,
+            speedup_iqr=timing.ratio_iqr,
         ))
     scenario = _time_scenario(trials) if include_scenario else {"skipped": "disabled"}
     replicate = (

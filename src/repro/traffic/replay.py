@@ -244,9 +244,13 @@ def replay_fleet_sharded(
 ) -> tuple[ReplayResult, "ShardReport"]:
     """Stream a trace through the sharded multi-process fleet runner.
 
-    The same bounded-lookahead cursor feeds the parent's epoch pump, so
-    the memory contract is unchanged: at most ``max_pending`` decoded
-    records plus one epoch window of bound jobs exist at any moment.
+    The same bounded-lookahead cursor feeds the parent's epoch pump.
+    The parent packs epoch windows into chunks of about
+    :data:`~repro.fleet.shard.CHUNK_JOBS` bound jobs and sends the next
+    chunk before it reads the reply to the last, so pipe back-pressure
+    bounds memory: at most ``max_pending`` decoded records plus about
+    two chunks of bound jobs (and the forwarded jobs due one window
+    later) exist at any moment.
     Returns the familiar :class:`ReplayResult` (built from the merged
     fleet report) alongside the full
     :class:`~repro.fleet.shard.ShardReport`.  This is how a 1M-request

@@ -93,6 +93,8 @@ class TestEngineBenchCli:
         out = capsys.readouterr().out
         assert "DES engine bench" in out
         assert "microbench (gate)" in out
+        # The gate line carries the spread of the paired ratios.
+        assert "gate: microbench speedup" in out and "IQR" in out
         assert "dhlsim scenario" in out
         assert f"wrote engine perf baseline to {out_path}" in out
 

@@ -1,9 +1,14 @@
 """Tests for the sharded multi-process fleet co-simulation."""
 
 import json
+import multiprocessing
 import os
+import threading
+from dataclasses import replace
 
 import pytest
+
+import repro.fleet.shard as shard_module
 
 from repro.chaos.campaigns import (
     CHAOS_SHUTTLE_POLICY,
@@ -11,7 +16,7 @@ from repro.chaos.campaigns import (
     TRACK_OUTAGE,
     default_campaign,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.fleet.controlplane import default_scenario, run_fleet
 from repro.fleet.health import DegradationPolicy
 from repro.fleet.shard import (
@@ -19,6 +24,9 @@ from repro.fleet.shard import (
     FORWARDED_COUNTER,
     SHARD_ENGINES,
     ShardPlan,
+    _ProcessExecutor,
+    _SerialExecutor,
+    _shard_worker,
     render_signature,
     report_signature,
     run_sharded,
@@ -36,6 +44,54 @@ def small_scenario(seed=0, n_tracks=4, horizon_s=HORIZON, **kwargs):
         spec=FleetSpec(n_tracks=n_tracks, cart_pool=3 * n_tracks,
                        **kwargs.pop("spec_kwargs", {})),
         **kwargs,
+    )
+
+
+def storm_plan(hardened=True):
+    """The pod-storm campaign on a 2-shard fleet, naive or hardened."""
+    base = default_campaign(seed=0)
+    # The stock storm targets tracks 0-1, which a 2-pod split of a
+    # 4-track fleet assigns entirely to pod 0; add an outage in pod
+    # 1's range so both shards run a non-empty campaign.
+    storm = replace(
+        base,
+        events=base.events + (
+            CampaignEvent(TRACK_OUTAGE, at_s=650.0, duration_s=600.0,
+                          track=2),
+        ),
+    )
+    scenario = small_scenario(
+        policy="edf",
+        cache="lru",
+        spec_kwargs={"shuttle_policy": CHAOS_SHUTTLE_POLICY},
+        chaos=storm,
+        degradation=DegradationPolicy() if hardened else None,
+        horizon_s=1800.0,
+    )
+    return ShardPlan(scenario=scenario, n_pods=2)
+
+
+def replay_sharded(engine, workers=None):
+    """A short synthetic trace replayed through a 2-pod fleet."""
+    from repro.traffic import default_spec, replay_fleet_sharded, synthesise
+    from repro.traffic.bench import bench_scenario
+
+    spec = default_spec(seed=3, horizon_s=600.0, rate_scale=0.05)
+    plan = ShardPlan(scenario=bench_scenario(spec, horizon_s=600.0), n_pods=2)
+    _, report = replay_fleet_sharded(
+        plan, synthesise(spec), engine=engine, workers=workers
+    )
+    return report
+
+
+def fingerprint(report):
+    """Everything a sharded run reports that a chunk size could move."""
+    return (
+        signature_digest(report.fleet),
+        report.epochs,
+        report.forwarded,
+        report.remote_outcomes,
+        report.metrics,
     )
 
 
@@ -68,8 +124,6 @@ class TestShardPlan:
         rogue = campaign.events + (
             CampaignEvent(TRACK_OUTAGE, at_s=10.0, duration_s=5.0, track=9),
         )
-        from dataclasses import replace
-
         scenario = small_scenario(
             spec_kwargs={"shuttle_policy": CHAOS_SHUTTLE_POLICY},
             chaos=replace(campaign, events=rogue),
@@ -211,32 +265,10 @@ class TestChaosCompatibility:
     @pytest.fixture(scope="class")
     def storm_reports(self):
         """Naive vs hardened pod-storm runs on the same 2-shard fleet."""
-        from dataclasses import replace
-
-        base = default_campaign(seed=0)
-        # The stock storm targets tracks 0-1, which a 2-pod split of a
-        # 4-track fleet assigns entirely to pod 0; add an outage in pod
-        # 1's range so both shards run a non-empty campaign.
-        storm = replace(
-            base,
-            events=base.events + (
-                CampaignEvent(TRACK_OUTAGE, at_s=650.0, duration_s=600.0,
-                              track=2),
-            ),
-        )
-        reports = {}
-        for mode in ("naive", "hardened"):
-            scenario = small_scenario(
-                policy="edf",
-                cache="lru",
-                spec_kwargs={"shuttle_policy": CHAOS_SHUTTLE_POLICY},
-                chaos=storm,
-                degradation=DegradationPolicy() if mode == "hardened" else None,
-                horizon_s=1800.0,
-            )
-            plan = ShardPlan(scenario=scenario, n_pods=2)
-            reports[mode] = run_sharded(plan, engine="serial")
-        return reports
+        return {
+            mode: run_sharded(storm_plan(mode == "hardened"), engine="serial")
+            for mode in ("naive", "hardened")
+        }
 
     def test_pod_scoped_events_resolve_to_the_owning_shard(self):
         campaign = default_campaign(seed=0)
@@ -399,16 +431,150 @@ class TestShardedReplay:
         assert result.peak_pending <= result.config.max_pending
 
     def test_sharded_replay_is_deterministic(self):
-        from repro.traffic import default_spec, replay_fleet_sharded, synthesise
-        from repro.traffic.bench import bench_scenario
+        assert fingerprint(replay_sharded("serial")) == fingerprint(
+            replay_sharded("serial")
+        )
 
-        def run_once():
-            spec = default_spec(seed=3, horizon_s=600.0, rate_scale=0.05)
-            scenario = bench_scenario(spec, horizon_s=600.0)
-            plan = ShardPlan(scenario=scenario, n_pods=2)
-            _, report = replay_fleet_sharded(
-                plan, synthesise(spec), engine="serial"
-            )
-            return signature_digest(report.fleet)
 
-        assert run_once() == run_once()
+class TestChunking:
+    """Chunks are a parent-side transport detail: no size moves a result."""
+
+    CHUNKS = (1, 2, 7)
+
+    @pytest.fixture(scope="class")
+    def baselines(self, serial_report):
+        """Fingerprints at the default chunk size, serial executor."""
+        return {
+            "plan": fingerprint(serial_report),
+            "storm": fingerprint(run_sharded(storm_plan(), engine="serial")),
+            "replay": fingerprint(replay_sharded("serial")),
+        }
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_serial_results_are_chunk_invariant(
+        self, monkeypatch, chunk, two_pod_plan, baselines
+    ):
+        monkeypatch.setattr(shard_module, "CHUNK_JOBS", chunk)
+        assert fingerprint(
+            run_sharded(two_pod_plan, engine="serial")
+        ) == baselines["plan"]
+        assert fingerprint(
+            run_sharded(storm_plan(), engine="serial")
+        ) == baselines["storm"]
+        assert fingerprint(replay_sharded("serial")) == baselines["replay"]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_process_results_are_chunk_invariant(
+        self, monkeypatch, chunk, two_pod_plan, baselines
+    ):
+        # Chunks are cut in the parent, so the patch reaches the workers.
+        monkeypatch.setattr(shard_module, "CHUNK_JOBS", chunk)
+        for workers in (1, 2):
+            assert fingerprint(run_sharded(
+                two_pod_plan, engine="process", workers=workers
+            )) == baselines["plan"], f"diverged at {workers} worker(s)"
+        assert fingerprint(run_sharded(
+            storm_plan(), engine="process", workers=2
+        )) == baselines["storm"]
+        assert fingerprint(
+            replay_sharded("process", workers=2)
+        ) == baselines["replay"]
+
+    def test_chunks_cut_round_trips_and_pipeline(
+        self, monkeypatch, two_pod_plan, serial_report
+    ):
+        calls = []
+        submit = _SerialExecutor.submit
+        collect = _SerialExecutor.collect
+
+        def spy_submit(self, windows):
+            calls.append(len(windows))
+            return submit(self, windows)
+
+        def spy_collect(self):
+            calls.append("collect")
+            return collect(self)
+
+        monkeypatch.setattr(_SerialExecutor, "submit", spy_submit)
+        monkeypatch.setattr(_SerialExecutor, "collect", spy_collect)
+        monkeypatch.setattr(shard_module, "CHUNK_JOBS", 2)
+        report = run_sharded(two_pod_plan, engine="serial")
+        chunks = [entry for entry in calls if entry != "collect"]
+        # Every window runs exactly once, at most CHUNK_JOBS per chunk,
+        # and chunk k+1 is submitted before chunk k is collected.
+        assert sum(chunks) == report.epochs == serial_report.epochs
+        assert max(chunks) <= 2 and len(chunks) < report.epochs
+        assert calls[:3] == [chunks[0], chunks[1], "collect"]
+        assert calls.count("collect") == len(chunks)
+
+    def test_chunk_of_one_is_the_lockstep_loop(
+        self, monkeypatch, two_pod_plan, serial_report
+    ):
+        sizes = []
+        submit = _SerialExecutor.submit
+
+        def spy(self, windows):
+            sizes.append(len(windows))
+            return submit(self, windows)
+
+        monkeypatch.setattr(_SerialExecutor, "submit", spy)
+        monkeypatch.setattr(shard_module, "CHUNK_JOBS", 1)
+        run_sharded(two_pod_plan, engine="serial")
+        assert sizes == [1] * serial_report.epochs
+
+
+class TestWorkerFailure:
+    """A worker that fails mid-pipeline surfaces its own error, promptly."""
+
+    # Pod 0 is handed a forwarded "job" that is not one: the worker
+    # fails inside the control plane while replaying the window.
+    MALFORMED = [(10.0, {0: ([(5.0, None)], [])})]
+
+    def test_error_reaches_a_parent_blocked_in_send(self, two_pod_plan):
+        parent_conn, child_conn = multiprocessing.Pipe()
+        parent_conn.send(("run", self.MALFORMED))
+        worker = threading.Thread(
+            target=_shard_worker, args=(two_pod_plan, [0], child_conn)
+        )
+        worker.start()
+        # Far more than a pipe buffer holds: the send blocks until the
+        # worker fails, relays its error and hangs up.
+        flood = [(20.0 + index, {}) for index in range(400_000)]
+        try:
+            with pytest.raises(SimulationError, match="AttributeError"):
+                _ProcessExecutor._send(parent_conn, ("run", flood))
+        finally:
+            worker.join(timeout=60)
+            parent_conn.close()
+        assert not worker.is_alive()
+
+    def test_error_surfaces_with_a_chunk_in_flight(self, two_pod_plan):
+        executor = _ProcessExecutor(two_pod_plan, 2)
+        try:
+            with pytest.raises(
+                SimulationError, match="shard worker failed: AttributeError"
+            ):
+                executor.submit(self.MALFORMED)
+                executor.submit([(20.0, {})])
+                executor.collect()
+        finally:
+            executor.close()
+        for proc in executor.procs:
+            assert not proc.is_alive()
+            assert proc.exitcode is not None
+
+    def test_send_after_the_worker_exited_reports_its_error(
+        self, two_pod_plan
+    ):
+        executor = _ProcessExecutor(two_pod_plan, 2)
+        try:
+            executor.submit(self.MALFORMED)
+            executor.procs[0].join(timeout=60)
+            assert not executor.procs[0].is_alive()
+            with pytest.raises(
+                SimulationError, match="shard worker failed: AttributeError"
+            ):
+                executor.submit([(20.0, {})])
+        finally:
+            executor.close()
+        assert not any(proc.is_alive() for proc in executor.procs)

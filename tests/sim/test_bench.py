@@ -17,6 +17,7 @@ from repro.sim.bench import (
     SCHEMA,
     SPEEDUP_FLOORS,
     WORKLOADS,
+    PairedTiming,
     _paired_medians,
     compare_to_baseline,
     load_baseline,
@@ -99,14 +100,31 @@ class TestPairedTiming:
                 return len(calls)
             return fn
 
-        opt_events, opt_s, ref_events, ref_s = _paired_medians(
-            run("opt"), run("ref"), 4
-        )
+        timing = _paired_medians(run("opt"), run("ref"), 4)
         assert calls == ["opt", "ref",                 # untimed warm-up
                          "opt", "ref", "ref", "opt",
                          "opt", "ref", "ref", "opt"]
-        assert (opt_events, ref_events) == (10, 9)    # from the last runs
-        assert opt_s >= 0.0 and ref_s >= 0.0
+        # Event counts come from the last runs.
+        assert (timing.optimised_events, timing.reference_events) == (10, 9)
+        assert timing.optimised_s >= 0.0 and timing.reference_s >= 0.0
+        assert len(timing.ratios) == 4
+
+    def test_ratio_iqr_is_the_spread_of_the_pair_ratios(self):
+        timing = PairedTiming(
+            optimised_events=1, optimised_s=1.0,
+            reference_events=1, reference_s=2.0,
+            ratios=(1.0, 2.0, 3.0, 4.0, 5.0),
+        )
+        assert timing.ratio_iqr == pytest.approx(2.0)   # 4.0 - 2.0
+        single = PairedTiming(1, 1.0, 1, 2.0, ratios=(2.0,))
+        assert single.ratio_iqr == 0.0
+
+    def test_report_records_the_gate_spread(self):
+        report = tiny_bench()
+        gate = report.result(GATE_WORKLOAD)
+        assert report.gate_speedup_iqr == gate.speedup_iqr >= 0.0
+        # The spread is informational: the payload schema is unchanged.
+        assert "speedup_iqr" not in report_payload(report)["gate"]
 
     def test_single_repeat_still_takes_a_median(self, monkeypatch):
         # One timing per side would let a single scheduler hiccup decide
