@@ -169,25 +169,41 @@ def default_scenario(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class _FleetJob:
-    """A workload job bound to a dataset and an SLA."""
+    """A workload job bound to a dataset and an SLA.
 
-    job: TransferJob
+    Flat and unvalidated: every arrival builds one, so it carries the
+    :class:`~repro.workloads.generator.TransferJob` fields itself
+    instead of wrapping one, and trusts the stream that bound it (the
+    trace schema and the workload generator validate upstream).
+    Compared by identity — queues remove a job by ``is``.
+    """
+
+    job_id: int
+    arrival_s: float
+    size_bytes: float
+    kind: str
     dataset: str
     read_bytes: float
     deadline_at: float
     priority: int
     tenant: str = ""
 
+    @property
+    def job(self) -> TransferJob:
+        """The workload-layer view of this job (built on each access)."""
+        return TransferJob(self.job_id, self.arrival_s, self.size_bytes,
+                           self.kind)
+
 
 def _policy_key(policy: str):
     if policy == "fcfs":
-        return lambda f: (f.job.arrival_s, f.job.job_id)
+        return lambda f: (f.arrival_s, f.job_id)
     if policy == "sjf":
-        return lambda f: (f.read_bytes, f.job.arrival_s, f.job.job_id)
+        return lambda f: (f.read_bytes, f.arrival_s, f.job_id)
     # edf: class priority first, then the closest absolute deadline.
-    return lambda f: (f.priority, f.deadline_at, f.job.job_id)
+    return lambda f: (f.priority, f.deadline_at, f.job_id)
 
 
 class ControlHooks:
@@ -336,7 +352,7 @@ class _LaneQueue:
                 break
         else:
             raise ConfigurationError(
-                f"pick_dispatch returned job {fjob.job.job_id}, which is "
+                f"pick_dispatch returned job {fjob.job_id}, which is "
                 f"not queued on lane {self.lane.name}"
             )
         self._key = None
@@ -446,6 +462,11 @@ class ControlPlane:
                 self.hooks,
                 scenario.cache,
             )
+        # Homes are fixed for the run, so each dataset's lane is too.
+        self._home_lanes = {
+            name: self.lanes[(home.track_index, home.endpoint_id)]
+            for name, home in topology.homes.items()
+        }
         # One lock per dataset serialises fetch / evict / exclusive use,
         # so two jobs can never launch the same cart twice.
         self._locks = {
@@ -518,15 +539,17 @@ class ControlPlane:
     # -- lane lookup -------------------------------------------------------------
 
     def lane_for(self, dataset: str) -> _Lane:
-        home = self.topology.home(dataset)
-        return self.lanes[(home.track_index, home.endpoint_id)]
+        try:
+            return self._home_lanes[dataset]
+        except KeyError:
+            raise ConfigurationError(f"unknown dataset {dataset!r}") from None
 
     # -- job intake --------------------------------------------------------------
 
     def submit(self, fjob: _FleetJob) -> None:
         """Admit one job right now: queue it, shed it, or fail it over.
 
-        Factored out of the arrival process so the stateful fuzzer can
+        Factored out of the intake so the stateful fuzzer can
         dispatch jobs at arbitrary virtual times through the exact
         admission path production traffic takes.
         """
@@ -542,8 +565,8 @@ class ControlPlane:
             self.tracer.instant(
                 "job.admit",
                 track=f"fleet:{lane.name}",
-                job=fjob.job.job_id,
-                kind=fjob.job.kind,
+                job=fjob.job_id,
+                kind=fjob.kind,
                 dataset=fjob.dataset,
             )
         if lane.queue.depth >= admission.max_queue_depth:
@@ -560,33 +583,52 @@ class ControlPlane:
             if choice == Outcome.FAILOVER and self._failover_streams is not None:
                 self.env.process(self._failover_job(fjob))
             else:
-                self._finish(self._record(fjob, Outcome.SHED, completed_s=None))
+                self._finish(fjob, Outcome.SHED, None)
         else:
             lane.queue.push(fjob)
 
-    def _arrivals(self, fjobs: Iterator[_FleetJob]):
-        """Consume the job stream lazily, one arrival at a time.
+    def start_intake(self, fjobs: Iterable[_FleetJob]) -> None:
+        """Submit each job of a stream at its arrival time, lazily.
 
-        The iterator is only advanced after the previous job has been
+        The stream is only advanced after the previous job has been
         submitted, so at most one bound job is ever materialised ahead
         of the DES clock — a trace-driven day streams through without
-        the job list ever existing in memory.
+        the job list ever existing in memory.  No process drives the
+        stream: one kick-off event at the current time submits every
+        job already due, and each later arrival waits on one timeout
+        whose callback submits it and pulls the next.  Intake closes
+        when the stream is exhausted.
         """
-        for fjob in fjobs:
-            if fjob.job.arrival_s > self.env.now:
-                yield self.env.timeout(fjob.job.arrival_s - self.env.now)
-            self.submit(fjob)
-        self._intake_closed = True
-        self._maybe_done()
+        env = self.env
+        jobs = iter(fjobs)
+        due: _FleetJob | None = None
+
+        def pump(_event: Event) -> None:
+            nonlocal due
+            if due is not None:
+                self.submit(due)
+            now = env.now
+            for fjob in jobs:
+                if fjob.arrival_s > now:
+                    due = fjob
+                    env.timeout(fjob.arrival_s - now).callbacks.append(pump)
+                    return
+                self.submit(fjob)
+            self._intake_closed = True
+            self._maybe_done()
+
+        kick_off = env.event()
+        kick_off.callbacks.append(pump)
+        kick_off.succeed()
 
     def _divert(self, fjob: _FleetJob) -> None:
         """Route a job off a degraded lane per its SLA class."""
         self.registry.counter("count.fleet.diverted").inc()
         if (
             self._failover_streams is None
-            or fjob.job.kind in self.degradation.shed_classes
+            or fjob.kind in self.degradation.shed_classes
         ):
-            self._finish(self._record(fjob, Outcome.SHED, completed_s=None))
+            self._finish(fjob, Outcome.SHED, None)
         else:
             self.env.process(self._failover_job(fjob))
 
@@ -602,8 +644,7 @@ class ControlPlane:
             )
         finally:
             stream.release()
-        self._finish(self._record(fjob, Outcome.FAILOVER,
-                                  completed_s=self.env.now))
+        self._finish(fjob, Outcome.FAILOVER, self.env.now)
 
     # -- lane workers ------------------------------------------------------------
 
@@ -637,18 +678,15 @@ class ControlPlane:
                     end_s=completed,
                     track=f"fleet:{lane.name}",
                     asynchronous=True,
-                    job=fjob.job.job_id,
-                    kind=fjob.job.kind,
+                    job=fjob.job_id,
+                    kind=fjob.kind,
                     dataset=fjob.dataset,
-                    queue_wait_s=started - fjob.job.arrival_s,
+                    queue_wait_s=started - fjob.arrival_s,
                 )
-            self._finish(
-                self._record(
-                    fjob,
-                    Outcome.SERVED if ok else Outcome.FAILED,
-                    completed_s=completed if ok else None,
-                )
-            )
+            if ok:
+                self._finish(fjob, Outcome.SERVED, completed)
+            else:
+                self._finish(fjob, Outcome.FAILED, None)
 
     def _close_robust(self, lane: _Lane, cart):
         """Close with unbounded patience: the cart has one way home.
@@ -797,30 +835,18 @@ class ControlPlane:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _record(self, fjob: _FleetJob, outcome: str,
-                completed_s: float | None) -> JobRecord:
-        return JobRecord(
-            job_id=fjob.job.job_id,
-            kind=fjob.job.kind,
-            dataset=fjob.dataset,
-            arrival_s=fjob.job.arrival_s,
-            deadline_s=fjob.deadline_at,
-            read_bytes=fjob.read_bytes,
-            outcome=outcome,
-            completed_s=completed_s,
-            tenant=fjob.tenant,
-        )
-
-    def _finish(self, record: JobRecord) -> None:
+    def _finish(self, fjob: _FleetJob, outcome: str,
+                completed_s: float | None) -> None:
+        """Resolve ``fjob``: build its one record and account for it."""
+        record = JobRecord(fjob.job_id, fjob.kind, fjob.dataset,
+                           fjob.arrival_s, fjob.deadline_at, fjob.read_bytes,
+                           outcome, completed_s, fjob.tenant)
         self.sla.observe(record)
         if self.scenario.retain_records:
             self._outcomes.append(record)
-        self._counts[record.outcome] += 1
-        if (
-            record.completed_s is not None
-            and record.completed_s > self._max_completed_s
-        ):
-            self._max_completed_s = record.completed_s
+        self._counts[outcome] += 1
+        if completed_s is not None and completed_s > self._max_completed_s:
+            self._max_completed_s = completed_s
         self._resolved += 1
         self._in_system -= 1
         if self.outcome_hook is not None:
@@ -893,7 +919,7 @@ class ControlPlane:
                 "no jobs arrived within the horizon"
             ) from None
         self.start_workers()
-        self.env.process(self._arrivals(itertools.chain((first,), iterator)))
+        self.start_intake(itertools.chain((first,), iterator))
         self.env.run(until=self._done)
         return self._build_report()
 
@@ -974,11 +1000,9 @@ def _bind_jobs(
         target = targets.get(job.kind, DEFAULT_TARGET)
         home = topology.home(dataset)
         yield _FleetJob(
-            job=job,
-            dataset=dataset,
-            read_bytes=min(job.size_bytes, home.size_bytes),
-            deadline_at=job.arrival_s + target.deadline_s,
-            priority=target.priority,
+            job.job_id, job.arrival_s, job.size_bytes, job.kind, dataset,
+            min(job.size_bytes, home.size_bytes),
+            job.arrival_s + target.deadline_s, target.priority,
         )
 
 

@@ -329,7 +329,7 @@ class _Pump:
     def pull(self, until: float) -> list[_FleetJob]:
         """All not-yet-pulled jobs arriving at or before ``until``."""
         out: list[_FleetJob] = []
-        while not self.exhausted and self._next.job.arrival_s <= until:
+        while not self.exhausted and self._next.arrival_s <= until:
             out.append(self._next)
             self._advance()
         return out
@@ -387,7 +387,7 @@ class _PodRunner:
                 self.plane.registry.counter(FORWARDED_COUNTER).inc()
                 self.plane.inject(fjob, deliver_s)
             for fjob in arrivals:
-                self.plane.inject(fjob, fjob.job.arrival_s)
+                self.plane.inject(fjob, fjob.arrival_s)
             self.note_s = None
             self.env.run(until=epoch_end)
             notes.append(self.note_s)
@@ -621,14 +621,14 @@ class _EpochLoop:
         for deliver_s, _job_id, owner, fjob in due:
             work.setdefault(owner, ([], []))[0].append((deliver_s, fjob))
         for fjob in arrivals:
-            ingress = fjob.job.job_id % self.n_pods
+            ingress = fjob.job_id % self.n_pods
             owner = self.owners[fjob.dataset]
             if owner == ingress:
                 work.setdefault(owner, ([], []))[1].append(fjob)
             else:
                 self.forwards.append((
-                    fjob.job.arrival_s + self.window_s,
-                    fjob.job.job_id,
+                    fjob.arrival_s + self.window_s,
+                    fjob.job_id,
                     owner,
                     fjob,
                 ))

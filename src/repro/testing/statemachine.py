@@ -71,7 +71,6 @@ from ..obs.tracer import span_nesting_violations
 from ..sim import Environment
 from ..storage.datasets import synthetic_dataset
 from ..units import TB
-from ..workloads.generator import TransferJob
 
 
 def api_fuzz_campaign(seed: int = 0) -> ChaosCampaign:
@@ -292,9 +291,7 @@ class FleetDispatchMachine:
             self.plane.attach_campaign(
                 install_campaign(self.env, self.topology.systems, scenario.chaos)
             )
-        for lane in self.plane.lanes.values():
-            for _ in range(lane.stations):
-                self.env.process(self.plane._worker(lane))
+        self.plane.start_workers()
         self.targets = dict(scenario.targets)
         self.datasets = list(self.topology.homes)
         self.submitted = 0
@@ -312,17 +309,14 @@ class FleetDispatchMachine:
         home = self.topology.home(dataset)
         target = self.targets.get(kind, DEFAULT_TARGET)
         size = max(1.0, size_fraction * 8 * TB)
-        job = TransferJob(self._next_job_id, self.env.now, size, kind)
-        self._next_job_id += 1
         self.plane.submit(
             _FleetJob(
-                job=job,
-                dataset=dataset,
-                read_bytes=min(size, home.size_bytes),
-                deadline_at=self.env.now + target.deadline_s,
-                priority=target.priority,
+                self._next_job_id, self.env.now, size, kind, dataset,
+                min(size, home.size_bytes),
+                self.env.now + target.deadline_s, target.priority,
             )
         )
+        self._next_job_id += 1
         self.submitted += 1
 
     def do_advance(self, dt: float) -> None:

@@ -210,13 +210,10 @@ class TraceReplayMachine:
             record = self.pending.pop(0)
             target = self.targets.get(record.kind, DEFAULT_TARGET)
             self.plane.submit(_FleetJob(
-                job=record.to_job(self._next_job_id),
-                dataset=record.dataset,
-                read_bytes=min(record.size_bytes,
-                               self.scenario.catalog.dataset_bytes),
-                deadline_at=record.deadline_s,
-                priority=target.priority,
-                tenant=record.tenant,
+                self._next_job_id, record.arrival_s, record.size_bytes,
+                record.kind, record.dataset,
+                min(record.size_bytes, self.scenario.catalog.dataset_bytes),
+                record.deadline_s, target.priority, record.tenant,
             ))
             self._next_job_id += 1
             self.injected += 1

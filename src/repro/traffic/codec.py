@@ -171,14 +171,9 @@ def read_binary_records(stream: BinaryIO,
             for arrival, tenant_id, dataset_id, kind_id, size_bytes, deadline \
                     in RECORD_STRUCT.iter_unpack(batch):
                 try:
-                    yield TraceRecord(
-                        arrival_s=arrival,
-                        tenant=tenants[tenant_id],
-                        dataset=datasets[dataset_id],
-                        size_bytes=size_bytes,
-                        kind=kinds[kind_id],
-                        deadline_s=deadline,
-                    )
+                    yield TraceRecord(arrival, tenants[tenant_id],
+                                      datasets[dataset_id], size_bytes,
+                                      kinds[kind_id], deadline)
                 except IndexError:
                     raise DataIntegrityError(
                         f"binary record references id outside the header "

@@ -16,12 +16,12 @@ records in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from ..errors import ConfigurationError, DataIntegrityError
 from ..units import assert_positive
-from ..workloads.generator import TransferJob
 
 #: Bumped on any change to the record layout or header semantics; both
 #: codecs embed it and refuse to decode a trace from another version.
@@ -32,6 +32,8 @@ TRACE_MAGIC = b"DHT1"
 
 #: First key of every JSONL trace header line.
 JSONL_SCHEMA = f"dhl-trace/{TRACE_SCHEMA_VERSION}"
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -46,31 +48,44 @@ class TraceRecord:
     deadline_s: float
     """Absolute virtual time by which the request should complete —
     pre-resolved at synthesis so replay never needs the SLA table to
-    interpret a record."""
+    interpret a record.  ``+inf`` means no deadline; NaN is rejected,
+    as is a non-finite arrival or size."""
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ConfigurationError(
-                f"arrival_s must be >= 0, got {self.arrival_s}"
-            )
+        # One chained test passes every valid record.  A NaN fails each
+        # comparison it meets, so a bad field of any kind falls through
+        # to ``_reject``, which names it.
+        arrival = self.arrival_s
+        if not (
+            0.0 <= arrival < _INF
+            and 0.0 < self.size_bytes < _INF
+            and self.deadline_s >= arrival
+            and self.tenant and self.dataset and self.kind
+        ):
+            self._reject()
+
+    def _reject(self) -> None:
+        """Raise the error for the first invalid field."""
+        arrival = self.arrival_s
+        if arrival < 0:
+            raise ConfigurationError(f"arrival_s must be >= 0, got {arrival}")
+        if not math.isfinite(arrival):
+            raise ConfigurationError(f"arrival_s must be finite, got {arrival}")
         assert_positive("size_bytes", self.size_bytes)
-        if self.deadline_s < self.arrival_s:
+        if not math.isfinite(self.size_bytes):
+            raise ConfigurationError(
+                f"size_bytes must be finite, got {self.size_bytes}"
+            )
+        if math.isnan(self.deadline_s):
+            raise ConfigurationError("deadline_s must not be NaN")
+        if self.deadline_s < arrival:
             raise ConfigurationError(
                 f"deadline_s ({self.deadline_s}) precedes arrival_s "
-                f"({self.arrival_s})"
+                f"({arrival})"
             )
         for name in ("tenant", "dataset", "kind"):
             if not getattr(self, name):
                 raise ConfigurationError(f"record {name} must be non-empty")
-
-    def to_job(self, job_id: int) -> TransferJob:
-        """The workload-layer view of this record."""
-        return TransferJob(
-            job_id=job_id,
-            arrival_s=self.arrival_s,
-            size_bytes=self.size_bytes,
-            kind=self.kind,
-        )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ identity, not equality — across policy switches that force a rebuild
 and hook overrides that take a job from the middle of the queue.
 """
 
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import pytest
@@ -24,20 +25,13 @@ from repro.fleet.controlplane import (
 )
 from repro.learn import ACTIONS, AdaptiveHooks
 from repro.sim import Environment
-from repro.workloads.generator import TransferJob
 
 
 def _job(job_id, arrival_s, read_bytes, deadline_at, priority):
     # Every field is drawn from a handful of values, so equal keys --
-    # and even equal jobs -- are common.
-    return _FleetJob(
-        job=TransferJob(job_id=job_id, arrival_s=arrival_s,
-                        size_bytes=read_bytes, kind="batch"),
-        dataset="ds-000",
-        read_bytes=read_bytes,
-        deadline_at=deadline_at,
-        priority=priority,
-    )
+    # and even jobs with equal fields -- are common.
+    return _FleetJob(job_id, arrival_s, read_bytes, "batch", "ds-000",
+                     read_bytes, deadline_at, priority)
 
 
 def _queue(hooks, policy):
@@ -172,7 +166,8 @@ def test_override_taking_a_non_head_job_removes_it_by_identity(policy, ops):
 def test_equal_jobs_are_removed_by_identity():
     first = _job(1, 0.0, 1.0, 10.0, 0)
     twin = _job(1, 0.0, 1.0, 10.0, 0)
-    assert first == twin and first is not twin
+    # Jobs compare by identity; field for field these two are equal.
+    assert astuple(first) == astuple(twin) and first is not twin
     queue = _queue(_NewestOnAlternatePicks(), "fcfs")
     queue.push(first)
     queue.push(twin)

@@ -277,7 +277,7 @@ class TestPendingOrder:
                 deepest = max(deepest, len(pending))
             now = env.sim.now
             scale = env.config.p99_scale
-            waits = [min((now - f.job.arrival_s) / scale, 1.0) for f in queued]
+            waits = [min((now - f.arrival_s) / scale, 1.0) for f in queued]
             expected_age = sum(waits) / len(waits) if waits else 0.0
             assert env._backlog_age() == expected_age
         assert deepest >= 3, "the queues never held enough jobs to reorder"

@@ -1,6 +1,8 @@
 """Tests for the JSONL and packed-binary trace codecs."""
 
 import io
+import json
+import math
 import struct
 
 import pytest
@@ -136,6 +138,55 @@ class TestJsonlCodec:
         writer.write(records[1])
         with pytest.raises(DataIntegrityError):
             writer.write(records[0])
+
+
+#: One bad field per case: (arrival, size, deadline) and the error the
+#: record check raises for it.
+NON_FINITE = {
+    "nan-arrival": ((math.nan, 1e12, math.inf), "arrival_s must be finite"),
+    "inf-arrival": ((math.inf, 1e12, math.inf), "arrival_s must be finite"),
+    "inf-size": ((1.0, math.inf, 61.0), "size_bytes must be finite"),
+    "nan-size": ((1.0, math.nan, 61.0), "size_bytes must be > 0"),
+    "nan-deadline": ((1.0, 1e12, math.nan), "deadline_s must not be NaN"),
+}
+
+
+class TestNonFiniteFields:
+    """A decoded NaN or infinity is rejected by both readers."""
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_binary_reader_rejects(self, case):
+        (arrival, size, deadline), message = NON_FINITE[case]
+        stream = encode_binary(sample_records(2))
+        stream.seek(0, io.SEEK_END)
+        stream.write(RECORD_STRUCT.pack(arrival, 0, 0, 0, size, deadline))
+        stream.seek(0)
+        header = read_binary_header(stream)
+        with pytest.raises(ValueError, match=message):
+            list(read_binary_records(stream, header))
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_jsonl_reader_rejects(self, case):
+        (arrival, size, deadline), message = NON_FINITE[case]
+        stream = encode_jsonl(sample_records(2))
+        text = stream.getvalue() + json.dumps({
+            "t": arrival, "tenant": "search", "dataset": "ds-000",
+            "bytes": size, "kind": "interactive", "deadline": deadline,
+        }) + "\n"
+        stream = io.StringIO(text)
+        header = read_jsonl_header(stream)
+        with pytest.raises(DataIntegrityError, match=f"line 4: {message}"):
+            list(read_jsonl_records(stream, header))
+
+    def test_infinite_deadline_round_trips(self):
+        record = TraceRecord(0.0, "search", "ds-000", 1e12, "interactive",
+                             math.inf)
+        binary = encode_binary([record])
+        header = read_binary_header(binary)
+        assert list(read_binary_records(binary, header)) == [record]
+        jsonl = encode_jsonl([record])
+        header = read_jsonl_header(jsonl)
+        assert list(read_jsonl_records(jsonl, header)) == [record]
 
 
 class TestTraceFiles:

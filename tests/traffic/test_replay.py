@@ -21,6 +21,7 @@ from repro.traffic.replay import (
 )
 from repro.traffic.schema import TraceHeader, TraceRecord
 from repro.traffic.synth import default_spec, synthesise, trace_header
+from repro.workloads.generator import TransferJob
 
 SPEC = default_spec(seed=1, horizon_s=1800.0, rate_scale=0.3)
 
@@ -103,7 +104,8 @@ class TestBoundJobs:
         assert job.tenant == "search"
         assert job.deadline_at == 65.0
         assert job.read_bytes == SPEC.catalog.dataset_bytes  # clipped
-        assert job.job.job_id == 0
+        assert job.job_id == 0
+        assert job.job == TransferJob(0, 5.0, 9e15, "interactive")
 
 
 class TestReplayFleet:

@@ -1,5 +1,7 @@
 """Tests for the versioned trace record schema and header tables."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, DataIntegrityError
@@ -10,6 +12,9 @@ from repro.traffic.schema import (
     TraceRecord,
     monotone,
 )
+
+NAN = math.nan
+INF = math.inf
 
 
 def record(arrival=10.0, tenant="search", dataset="ds-000",
@@ -37,13 +42,6 @@ def header(**kwargs):
 
 
 class TestTraceRecord:
-    def test_to_job_preserves_fields(self):
-        job = record().to_job(7)
-        assert job.job_id == 7
-        assert job.arrival_s == 10.0
-        assert job.size_bytes == 2e12
-        assert job.kind == "interactive"
-
     def test_rejects_negative_arrival(self):
         with pytest.raises(ConfigurationError):
             record(arrival=-1.0, deadline=60.0)
@@ -60,6 +58,34 @@ class TestTraceRecord:
     def test_rejects_empty_names(self, field):
         with pytest.raises(ConfigurationError):
             record(**{field: ""})
+
+    @pytest.mark.parametrize("arrival", [NAN, INF])
+    def test_rejects_non_finite_arrival(self, arrival):
+        with pytest.raises(ConfigurationError, match="arrival_s must be finite"):
+            record(arrival=arrival, deadline=INF)
+
+    def test_rejects_infinite_size(self):
+        with pytest.raises(ConfigurationError, match="size_bytes must be finite"):
+            record(size=INF)
+
+    def test_rejects_nan_size(self):
+        with pytest.raises(ValueError, match="size_bytes must be > 0"):
+            record(size=NAN)
+
+    def test_rejects_nan_deadline(self):
+        with pytest.raises(ConfigurationError, match="deadline_s must not be NaN"):
+            record(deadline=NAN)
+
+    def test_infinite_deadline_is_legal(self):
+        assert record(deadline=INF).deadline_s == INF
+
+    def test_first_invalid_field_names_the_error(self):
+        # Checks run in field order, so one record with several bad
+        # fields reports the same error it always did.
+        with pytest.raises(ConfigurationError, match="arrival_s must be >= 0"):
+            record(arrival=-1.0, size=INF, deadline=NAN, tenant="")
+        with pytest.raises(ValueError, match="size_bytes must be > 0"):
+            record(size=0.0, deadline=NAN, kind="")
 
 
 class TestTraceHeader:
@@ -98,6 +124,14 @@ class TestTraceHeader:
 
 
 class TestMonotone:
+    def test_a_nan_arrival_cannot_switch_the_order_check_off(self):
+        # ``x < nan`` is always False: were a NaN arrival admitted, no
+        # later record could ever count as backwards.
+        with pytest.raises(ConfigurationError):
+            list(monotone(iter([record(arrival=5.0),
+                                record(arrival=NAN, deadline=INF),
+                                record(arrival=4.0)])))
+
     def test_passes_ordered_streams_through(self):
         records = [record(arrival=t) for t in (0.0, 1.0, 1.0, 5.0)]
         assert list(monotone(iter(records))) == records
